@@ -47,9 +47,8 @@ func newClusterTestServer(t *testing.T, n int) (*server, *httptest.Server, []*cl
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	s := newServer(nil, 0)
-	s.coord = coord
-	ts := httptest.NewServer(s.clusterRoutes())
+	s := newCoordServer(coord)
+	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts, locals
 }
@@ -278,9 +277,8 @@ func TestDegradedReadUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	s := newServer(nil, 0)
-	s.coord = coord
-	ts := httptest.NewServer(s.clusterRoutes())
+	s := newCoordServer(coord)
+	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 
 	gen, err := synth.NewGenerator(synth.DefaultConfig(400, 21, 22))

@@ -10,7 +10,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"time"
 
@@ -98,16 +97,15 @@ func (s *server) explainBlock(ctx context.Context, req core.Request, ex *obs.Exp
 		}
 	}
 	blk["cache"] = cacheSec
-	if s.agg != nil {
+	if s.coord == nil {
 		// The dry coverage walk answers for hits and misses alike: the
 		// coverage key in the cache key pins the served entry to exactly
-		// the bucket revisions the walk sees now.
-		switch cov, err := s.agg.ExplainCoverage(req); {
-		case err == nil:
+		// the bucket revisions the walk sees now. Ring-scan fallback
+		// shapes have no bucket coverage (the walk answers
+		// live.ErrNotCovered); the cache section's source already says
+		// ring_scan.
+		if cov, err := s.agg.ExplainCoverage(req); err == nil {
 			blk["coverage"] = cov
-		case errors.Is(err, live.ErrNotCovered):
-			// Ring-scan fallback shapes have no bucket coverage; the
-			// cache section's source already says ring_scan.
 		}
 	}
 	if s.snaps != nil {

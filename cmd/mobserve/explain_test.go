@@ -208,9 +208,8 @@ func newFederatedCluster(t *testing.T) (*httptest.Server, []*httptest.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	s := newServer(nil, 0)
-	s.coord = coord
-	ts := httptest.NewServer(s.clusterRoutes())
+	s := newCoordServer(coord)
+	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return ts, nodes
 }

@@ -15,7 +15,7 @@ import (
 	"geomob/internal/tweetdb"
 )
 
-// newLiveTestServer boots a live-mode server over an empty store — the
+// newLiveTestServer boots a server over an empty store — the
 // situation the CI smoke job reproduces with the real binary.
 func newLiveTestServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
@@ -23,13 +23,7 @@ func newLiveTestServer(t *testing.T) (*server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(store, 0)
-	if err := s.enableLive(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.initIngest(); err != nil {
-		t.Fatal(err)
-	}
+	s := bootServer(t, store, "")
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts

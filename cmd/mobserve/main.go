@@ -1,23 +1,23 @@
-// mobserve exposes a tweetdb store over HTTP: corpus statistics, windowed
-// queries, density tiles, a versioned analysis API over the Study
-// pipeline and a streaming NDJSON ingest endpoint. It demonstrates the
-// near-real-time deployment the paper motivates — an always-on service
-// absorbing a continuous tweet feed and answering population and
-// mobility queries from materialised time buckets (DESIGN.md §7), from
-// cached snapshots whenever their bucket coverage has not changed.
+// mobserve exposes a tweetdb store over HTTP: windowed tweet queries,
+// density tiles, a versioned analysis API over the Study pipeline and a
+// streaming NDJSON ingest endpoint. It demonstrates the near-real-time
+// deployment the paper motivates — an always-on service absorbing a
+// continuous tweet feed and answering population and mobility queries
+// from materialised time buckets (DESIGN.md §7), from cached snapshots
+// whenever their bucket coverage has not changed.
 //
 // Usage:
 //
-//	mobserve -db /tmp/tweets.db -addr :8080 -live -bucket 1h
+//	mobserve -db /tmp/tweets.db -addr :8080 -bucket 1h
 //
 // Endpoints:
 //
 //	GET  /healthz                      liveness, generation, scan + cache counters
-//	GET  /stats                        store-level statistics (segment metadata)
+//	GET  /metrics                      Prometheus exposition (store size,
+//	                                   segments and bytes among the gauges)
 //	GET  /tweets?user=ID&limit=N       tweets of one user
 //	GET  /tweets?from=RFC3339&to=...   tweets in a time window
 //	GET  /density.png?nx=360&ny=280    tweet density heat map
-//	GET  /flows?scale=national         OD flow matrix at a scale (uncached)
 //	POST /v1/ingest                    NDJSON tweet batch: appended to the
 //	                                   store and routed into the bucket ring
 //	                                   (202 in cluster mode: acknowledged
@@ -40,11 +40,11 @@
 //	GET /v1/models?scale=&from=&to=&radius=     §IV model comparison
 //	GET /v1/flows?scale=&from=&to=&radius=      OD flow extraction
 //
-// With -live, /v1 answers fold precomputed bucket partials — an append
-// invalidates only the cached results whose window covers the buckets it
-// landed in, and repeat queries over unchanged coverage do zero segment
-// scans. Without -live, snapshots are keyed on the store generation as
-// before (any append invalidates; the store must be compacted).
+// A single node is always live: /v1 answers fold precomputed bucket
+// partials, an append invalidates only the cached results whose window
+// covers the buckets it landed in, and repeat queries over unchanged
+// coverage do zero segment scans. The -live flag is still accepted, but
+// -live=false is an error.
 package main
 
 import (
@@ -59,10 +59,8 @@ import (
 	"net/http"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -72,7 +70,7 @@ import (
 	"geomob/internal/geo"
 	"geomob/internal/heatmap"
 	"geomob/internal/live"
-	"geomob/internal/mobility"
+	"geomob/internal/models"
 	"geomob/internal/obs"
 	"geomob/internal/svcache"
 	"geomob/internal/tweet"
@@ -81,27 +79,25 @@ import (
 
 type server struct {
 	store *tweetdb.Store
-	// workers is the parallelism of scan-heavy handlers (/flows, /v1/*);
-	// zero means one worker per CPU.
-	workers int
-	// cache memoises completed /v1 executions per store generation.
+	// cache memoises the single node's completed /v1 executions per
+	// bucket coverage (the coordinator keeps its own).
 	cache *svcache.Cache
 	// baseCtx bounds snapshot computations to the server's lifetime, not
 	// to any single request: a computation may have several requests
 	// waiting on it, so the first requester's disconnect must not abort
 	// (and error out) everyone else's answer. Shutdown cancels it.
 	baseCtx context.Context
-	// agg is the live bucket ring (-live); nil keeps the classic
-	// generation-keyed full-rescan path. ing is the streaming write path
-	// behind POST /v1/ingest (always on; routes into agg when present).
+	// agg is the single node's live bucket ring and ing the streaming
+	// write path behind POST /v1/ingest that routes into it; both are nil
+	// in cluster mode.
 	agg *live.Aggregator
 	ing *live.Ingestor
 
-	// snaps is the ring's durable snapshot store (-snapshot-dir in live
-	// mode); recovery records what boot recovery actually did — restored
-	// vs backfilled buckets, tail replay size — for /healthz. In
-	// partition mode localShards holds the in-process shards instead,
-	// each owning its per-slot snapshot stores.
+	// snaps is the ring's durable snapshot store (-snapshot-dir);
+	// recovery records what boot recovery actually did — restored vs
+	// backfilled buckets, tail replay size — for /healthz. In partition
+	// mode localShards holds the in-process shards instead, each owning
+	// its per-slot snapshot stores.
 	snaps       *live.SnapshotStore
 	recovery    live.RecoveryStats
 	localShards []*cluster.LocalShard
@@ -120,12 +116,6 @@ type server struct {
 	// without bound.
 	maxIngestBytes int64
 
-	// mappers caches the default-radius area mapper per scale: the
-	// gazetteer is immutable, so the grid resolver behind a mapper is
-	// built once per process instead of once per /flows request.
-	mapperMu sync.Mutex
-	mappers  map[census.Scale]*mobility.AreaMapper
-
 	// obsReg holds this instance's state gauges (store size, ring and
 	// snapshot state, cache stats). /metrics renders it after the
 	// process-global obs.Def, and /healthz assembles its numbers from one
@@ -136,55 +126,64 @@ type server struct {
 	slowQuery time.Duration
 }
 
-func newServer(store *tweetdb.Store, workers int) *server {
+// baseServer holds the defaults both modes share.
+func baseServer() *server {
 	return &server{
-		store:          store,
-		workers:        workers,
-		cache:          svcache.New(0),
 		baseCtx:        context.Background(),
-		mappers:        map[census.Scale]*mobility.AreaMapper{},
 		maxIngestBytes: cluster.DefaultMaxBodyBytes,
 		obsReg:         obs.NewRegistry(),
 		traces:         obs.NewTraceStore(0),
 	}
 }
 
-// enableLive builds the bucket ring and backfills it from the store —
-// one scan at boot, then never again: every later record arrives through
-// /v1/ingest and is resolved exactly once on its way in.
-func (s *server) enableLive(width time.Duration) error {
-	return s.enableLiveSnap(width, "")
-}
-
-// enableLiveSnap is enableLive with a durable snapshot directory: boot
-// restores every intact snapshotted bucket and replays only the store
-// tail (segments appended after the last commit), degrading per bucket
-// to a windowed cold backfill on any missing or corrupt file — the fast
-// restart path of DESIGN.md §11. An empty dir keeps the classic full
-// scan.
-func (s *server) enableLiveSnap(width time.Duration, snapDir string) error {
+// newServer builds the single-node server over store: the bucket ring of
+// the given width and the ingestor that routes into it. The ring is
+// filled from the store at boot — one scan, then never again: every later
+// record arrives through /v1/ingest and is resolved exactly once on its
+// way in. With a snapshot directory, boot instead restores every intact
+// snapshotted bucket and replays only the store tail (segments appended
+// after the last commit), degrading per bucket to a windowed cold
+// backfill on any missing or corrupt file — the fast restart path of
+// DESIGN.md §11.
+func newServer(store *tweetdb.Store, width time.Duration, snapDir string) (*server, error) {
 	agg, err := live.NewAggregator(live.Options{BucketWidth: width})
 	if err != nil {
-		return err
+		return nil, err
 	}
+	s := baseServer()
+	s.store = store
+	s.cache = svcache.New(0)
+	s.agg = agg
 	if snapDir == "" {
-		if _, err := live.Backfill(agg, s.store); err != nil {
-			return err
+		if _, err := live.Backfill(agg, store); err != nil {
+			return nil, err
 		}
 	} else {
-		snaps, err := live.OpenSnapshotStore(snapDir)
-		if err != nil {
-			return err
+		if s.snaps, err = live.OpenSnapshotStore(snapDir); err != nil {
+			return nil, err
 		}
-		rec, err := live.Recover(agg, s.store, snaps, live.RecoverOpts{})
-		if err != nil {
-			return err
+		if s.recovery, err = live.Recover(agg, store, s.snaps, live.RecoverOpts{}); err != nil {
+			return nil, err
 		}
-		s.snaps = snaps
-		s.recovery = rec
 	}
-	s.agg = agg
-	return nil
+	if s.ing, err = live.NewIngestor(store, agg, 0); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newCoordServer builds the cluster-mode server: /v1 scatter-gathers
+// across coord's shards and ingest routes through it.
+func newCoordServer(coord *cluster.Coordinator) *server {
+	s := baseServer()
+	s.coord = coord
+	return s
+}
+
+// snapshotting reports whether this server owns durable snapshot stores:
+// the single-node ring's (-snapshot-dir) or in-process partition shards'.
+func (s *server) snapshotting() bool {
+	return s.snaps != nil || len(s.localShards) > 0
 }
 
 // snapshotNow commits one durable snapshot of everything this process
@@ -208,7 +207,7 @@ func (s *server) snapshotNow() (live.SnapshotStats, error) {
 		}
 		return sum, nil
 	}
-	if s.snaps == nil || s.ing == nil {
+	if s.snaps == nil {
 		return live.SnapshotStats{}, fmt.Errorf("snapshots are not enabled (-snapshot-dir)")
 	}
 	return s.ing.Snapshot(s.snaps)
@@ -229,34 +228,6 @@ func snapshotHandler(snap func() (live.SnapshotStats, error)) http.HandlerFunc {
 	}
 }
 
-// initIngest wires the streaming write path (after enableLive, so flushed
-// batches route into the ring).
-func (s *server) initIngest() error {
-	ing, err := live.NewIngestor(s.store, s.agg, 0)
-	s.ing = ing
-	return err
-}
-
-// scaleMapper returns the cached default-radius mapper for the scale,
-// building it on first use.
-func (s *server) scaleMapper(scale census.Scale) (*mobility.AreaMapper, error) {
-	s.mapperMu.Lock()
-	defer s.mapperMu.Unlock()
-	if m, ok := s.mappers[scale]; ok {
-		return m, nil
-	}
-	rs, err := census.Australia().Regions(scale)
-	if err != nil {
-		return nil, err
-	}
-	m, err := mobility.NewAreaMapper(rs, 0)
-	if err != nil {
-		return nil, err
-	}
-	s.mappers[scale] = m
-	return m, nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mobserve: ")
@@ -264,10 +235,9 @@ func main() {
 	var (
 		dbDir    = flag.String("db", "", "tweetdb store directory (required except with -cluster-coordinator)")
 		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 0, "parallel segment scan workers (0 = one per CPU)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
-		liveMode = flag.Bool("live", false, "materialize time-bucketed aggregates; /v1 answers fold buckets instead of rescanning")
-		bucket   = flag.Duration("bucket", time.Hour, "live aggregation bucket width (with -live, -cluster-shard and -partitions)")
+		liveMode = flag.Bool("live", true, "accepted for compatibility: a single node always folds time-bucketed aggregates (-live=false is an error)")
+		bucket   = flag.Duration("bucket", time.Hour, "bucket ring width (every mode with a local store)")
 		maxBody  = flag.Int64("max-ingest-bytes", cluster.DefaultMaxBodyBytes, "maximum POST /v1/ingest request body in bytes (oversized uploads answer 413)")
 
 		shardMode = flag.Bool("cluster-shard", false, "serve the internal shard API (/shard/v1/*) over -db instead of the public endpoints")
@@ -276,7 +246,7 @@ func main() {
 		replicas  = flag.Int("replication", 1, "copies of every user-range slot across the cluster (with -cluster-coordinator or -partitions)")
 		walDir    = flag.String("wal-dir", "", "durable ingest spool directory: /v1/ingest acks only after the write-ahead append, and unacknowledged deliveries replay across coordinator restarts")
 
-		snapDir   = flag.String("snapshot-dir", "", "durable bucket-partial snapshot directory (with -live, -cluster-shard or -partitions): restart restores intact buckets and replays only the store tail")
+		snapDir   = flag.String("snapshot-dir", "", "durable bucket-partial snapshot directory (every mode with a local store): restart restores intact buckets and replays only the store tail")
 		snapEvery = flag.Duration("snapshot-interval", 0, "periodic snapshot commit interval (0 disables; needs -snapshot-dir); a final snapshot is always flushed on graceful drain")
 
 		slowQuery   = flag.Duration("slow-query", 0, "log /v1 queries slower than this as one structured line with trace ID and per-stage timings (0 disables)")
@@ -293,6 +263,9 @@ func main() {
 		}
 		fmt.Printf("mobserve %s (revision %s, %s)\n", b.Version, rev, b.GoVersion)
 		return
+	}
+	if !*liveMode {
+		log.Fatal("-live=false is not supported: single-node mode is always live")
 	}
 	modes := 0
 	for _, on := range []bool{*shardMode, *coordsTo != "", *partsN > 0} {
@@ -317,13 +290,8 @@ func main() {
 	if *snapEvery > 0 && *snapDir == "" {
 		log.Fatal("-snapshot-interval needs -snapshot-dir")
 	}
-	if *snapDir != "" {
-		switch {
-		case *coordsTo != "":
-			log.Fatal("-snapshot-dir needs a local store; the remote shard nodes own their own snapshot dirs")
-		case !*shardMode && *partsN == 0 && !*liveMode:
-			log.Fatal("-snapshot-dir needs -live, -cluster-shard or -partitions (snapshots persist the bucket ring)")
-		}
+	if *snapDir != "" && *coordsTo != "" {
+		log.Fatal("-snapshot-dir needs a local store; the remote shard nodes own their own snapshot dirs")
 	}
 
 	// SIGINT/SIGTERM cancel ctx; it is also the base context of every
@@ -337,6 +305,9 @@ func main() {
 	// through it.
 	var snapFn func() (live.SnapshotStats, error)
 
+	// s is the HTTP server of every mode but -cluster-shard, which serves
+	// the shard API instead.
+	var s *server
 	var handler http.Handler
 	switch {
 	case *shardMode:
@@ -417,17 +388,8 @@ func main() {
 			log.Fatal(err)
 		}
 		defer coord.Close()
-		s := newServer(nil, *workers)
-		s.coord = coord
-		s.maxIngestBytes = *maxBody
-		s.baseCtx = ctx
+		s = newCoordServer(coord)
 		s.localShards = locals
-		s.slowQuery = *slowQuery
-		s.traces = obs.NewTraceStore(*traceRetain)
-		if len(locals) > 0 {
-			snapFn = s.snapshotNow
-		}
-		handler = s.clusterRoutes()
 
 	default:
 		if *dbDir == "" {
@@ -437,29 +399,25 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		s := newServer(store, *workers)
+		if s, err = newServer(store, *bucket, *snapDir); err != nil {
+			log.Fatal(err)
+		}
+		if *snapDir == "" {
+			log.Printf("live aggregation on: %d records backfilled into %d buckets of %v",
+				s.agg.Ingested(), s.agg.Buckets(), *bucket)
+		} else {
+			log.Printf("live aggregation on: %d buckets restored, %d backfilled (full rescan: %v, tail %d records) of %v",
+				s.recovery.Restored, s.recovery.Backfilled, s.recovery.FullRescan, s.recovery.TailRecords, *bucket)
+		}
+	}
+	if s != nil {
 		s.maxIngestBytes = *maxBody
 		s.slowQuery = *slowQuery
 		s.traces = obs.NewTraceStore(*traceRetain)
-		if *liveMode {
-			if err := s.enableLiveSnap(*bucket, *snapDir); err != nil {
-				log.Fatal(err)
-			}
-			if *snapDir == "" {
-				log.Printf("live aggregation on: %d records backfilled into %d buckets of %v",
-					s.agg.Ingested(), s.agg.Buckets(), *bucket)
-			} else {
-				log.Printf("live aggregation on: %d buckets restored, %d backfilled (full rescan: %v, tail %d records) of %v",
-					s.recovery.Restored, s.recovery.Backfilled, s.recovery.FullRescan, s.recovery.TailRecords, *bucket)
-			}
-		}
-		if err := s.initIngest(); err != nil {
-			log.Fatal(err)
-		}
-		if s.snaps != nil {
+		s.baseCtx = ctx
+		if s.snapshotting() {
 			snapFn = s.snapshotNow
 		}
-		s.baseCtx = ctx
 		handler = s.routes()
 	}
 
@@ -529,16 +487,14 @@ func main() {
 	}
 }
 
-// routes assembles the mux over the server's handlers.
+// routes assembles the mux over the server's handlers. Every mode serves
+// health, metrics, traces and the /v1 API; a single node adds the two
+// readers of its own store, a coordinator the federated member metrics.
 func (s *server) routes() *http.ServeMux {
 	s.registerInstanceMetrics()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", obs.Handler(obs.Def, s.obsReg))
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /tweets", s.handleTweets)
-	mux.HandleFunc("GET /density.png", s.handleDensity)
-	mux.HandleFunc("GET /flows", s.handleFlows)
 	mux.HandleFunc("GET /v1/stats", s.traced("/v1/stats", s.handleV1Stats))
 	mux.HandleFunc("GET /v1/population", s.traced("/v1/population", s.handleV1Population))
 	mux.HandleFunc("GET /v1/models", s.traced("/v1/models", s.handleV1Models))
@@ -546,41 +502,16 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/ingest", s.traced("ingest", s.handleIngest))
 	mux.HandleFunc("GET /debug/traces", s.handleTracesList)
 	mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceGet)
-	if s.snaps != nil {
+	if s.coord != nil {
+		mux.HandleFunc("GET /metrics/cluster", s.handleMetricsCluster)
+	} else {
+		mux.HandleFunc("GET /tweets", s.handleTweets)
+		mux.HandleFunc("GET /density.png", s.handleDensity)
+	}
+	if s.snapshotting() {
 		mux.Handle("POST /v1/snapshot", snapshotHandler(s.snapshotNow))
 	}
 	return mux
-}
-
-// clusterRoutes is the coordinator-mode mux: the versioned analysis API
-// and health only. The store-backed endpoints (/stats, /tweets,
-// /density.png, /flows) have no meaning here — the records live on the
-// shard nodes.
-func (s *server) clusterRoutes() *http.ServeMux {
-	s.registerInstanceMetrics()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.Handle("GET /metrics", obs.Handler(obs.Def, s.obsReg))
-	mux.HandleFunc("GET /v1/stats", s.traced("/v1/stats", s.handleV1Stats))
-	mux.HandleFunc("GET /v1/population", s.traced("/v1/population", s.handleV1Population))
-	mux.HandleFunc("GET /v1/models", s.traced("/v1/models", s.handleV1Models))
-	mux.HandleFunc("GET /v1/flows", s.traced("/v1/flows", s.handleV1Flows))
-	mux.HandleFunc("POST /v1/ingest", s.traced("ingest", s.handleIngest))
-	mux.HandleFunc("GET /debug/traces", s.handleTracesList)
-	mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceGet)
-	mux.HandleFunc("GET /metrics/cluster", s.handleMetricsCluster)
-	if len(s.localShards) > 0 {
-		mux.Handle("POST /v1/snapshot", snapshotHandler(s.snapshotNow))
-	}
-	return mux
-}
-
-// scanWorkers resolves the configured scan parallelism.
-func (s *server) scanWorkers() int {
-	if s.workers > 0 {
-		return s.workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // writeJSON writes v with the proper content type.
@@ -651,15 +582,13 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		},
 		"build":   buildBlock(),
 		"latency": latencyBlock(),
-	}
-	if s.agg != nil {
-		resp["live"] = map[string]any{
+		"live": map[string]any{
 			"buckets":  snap.Int("geomob_live_buckets"),
 			"width":    s.agg.Width().String(),
 			"ingested": snap.Int("geomob_live_ingested_rows"),
 			"builds":   snap.Int("geomob_live_builds"),
 			"rollups":  s.agg.RollupStats(),
-		}
+		},
 	}
 	if s.snaps != nil {
 		sn := map[string]any{
@@ -678,11 +607,12 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleIngest drains a tweet batch into the streaming write path:
-// durably appended to the store and, with -live, routed through the
-// assignment hot path into the bucket ring. Cached /v1 results whose
-// windows do not cover the landed buckets stay warm. Content-Type
-// selects the wire format: tweet.BatchContentType streams binary column
-// frames (the hot path), anything else is read as NDJSON.
+// durably appended to the store and routed through the assignment hot
+// path into the bucket ring (or, in cluster mode, to the owning shards).
+// Cached /v1 results whose windows do not cover the landed buckets stay
+// warm. Content-Type selects the wire format: tweet.BatchContentType
+// streams binary column frames (the hot path), anything else is read as
+// NDJSON.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// The request body is bounded (-max-ingest-bytes), NDJSON lines are
 	// capped at 1 MiB by the reader and binary frames at the same body
@@ -724,49 +654,12 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	resp := map[string]any{
+	writeJSON(w, map[string]any{
 		"ingested":   n,
 		"tweets":     s.store.Count(),
 		"generation": strconv.FormatUint(s.store.Generation(), 16),
-	}
-	if s.agg != nil {
-		resp["buckets"] = s.agg.Buckets()
-	}
-	writeJSON(w, resp)
-}
-
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	segs := s.store.Segments()
-	var bytes int64
-	box := geo.EmptyBBox()
-	// A seen flag, not a zero sentinel: an empty store must not report
-	// the epoch as its collection period, and a legitimate record at
-	// epoch 0 must not be mistaken for "unset".
-	var minTS, maxTS int64
-	seen := false
-	for _, seg := range segs {
-		bytes += seg.Bytes
-		box = box.Union(seg.BBox())
-		if !seen || seg.MinTS < minTS {
-			minTS = seg.MinTS
-		}
-		if !seen || seg.MaxTS > maxTS {
-			maxTS = seg.MaxTS
-		}
-		seen = true
-	}
-	resp := map[string]any{
-		"tweets":   s.store.Count(),
-		"segments": len(segs),
-		"bytes":    bytes,
-		"bbox":     box,
-		"workers":  s.scanWorkers(),
-	}
-	if seen {
-		resp["first"] = time.UnixMilli(minTS).UTC()
-		resp["last"] = time.UnixMilli(maxTS).UTC()
-	}
-	writeJSON(w, resp)
+		"buckets":    s.agg.Buckets(),
+	})
 }
 
 func (s *server) handleTweets(w http.ResponseWriter, r *http.Request) {
@@ -884,32 +777,6 @@ func parseScale(v string) (census.Scale, error) {
 	return census.ScaleNational, fmt.Errorf("unknown scale %q", v)
 }
 
-func (s *server) handleFlows(w http.ResponseWriter, r *http.Request) {
-	scale, err := parseScale(r.URL.Query().Get("scale"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	mapper, err := s.scaleMapper(scale)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "mapper: %v", err)
-		return
-	}
-	src := core.StoreSource{Store: s.store}
-	flows, err := core.ExtractFlows(r.Context(), src, mapper, s.scanWorkers())
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "extract: %v (store compacted?)", err)
-		return
-	}
-	writeJSON(w, map[string]any{
-		"scale":  scale.String(),
-		"areas":  areaNames(flows.Areas),
-		"flows":  flows.Flows,
-		"total":  flows.Total(),
-		"radius": mapper.Radius(),
-	})
-}
-
 // areaNames projects the area list onto its names for JSON responses.
 func areaNames(areas []census.Area) []string {
 	names := make([]string, len(areas))
@@ -967,22 +834,20 @@ func parseV1Request(r *http.Request, analysis core.Analysis, scaled bool) (core.
 	return req, nil
 }
 
-// executeCached answers req through the snapshot cache. In live mode the
-// cache key carries the request's bucket-coverage fingerprint and the
-// computation folds materialised partials — an append invalidates only
-// the entries whose window covers the buckets it landed in, and repeat
-// queries over unchanged coverage do zero segment scans. Shapes the ring
-// does not materialise (custom radii) fall back to an exact streaming
-// pass over the ring's records, still without touching the store.
-// Without -live, the key carries the store generation and the
-// computation is the classic store rescan. Computations run under the
-// server's lifetime context, not the request's: several requests may be
-// waiting on one computation, so a single client's disconnect must not
-// cancel it — the pass completes, populates the snapshot, and serves
-// everyone else.
+// executeCached answers req through the snapshot cache. The cache key
+// carries the request's bucket-coverage fingerprint and the computation
+// folds materialised partials — an append invalidates only the entries
+// whose window covers the buckets it landed in, and repeat queries over
+// unchanged coverage do zero segment scans. Shapes the ring does not
+// materialise (custom radii) fall back to an exact streaming pass over
+// the ring's records, still without touching the store. Computations run
+// under the server's lifetime context, not the request's: several
+// requests may be waiting on one computation, so a single client's
+// disconnect must not cancel it — the pass completes, populates the
+// snapshot, and serves everyone else.
 // ctx carries the request trace (obs.TraceFrom): the cache-key
 // construction is recorded as the cache_lookup stage, and the compute
-// callback (which only runs on a miss) as the fold/scan stage; in
+// callback (which only runs on a miss) as the fold/ring_scan stage; in
 // cluster mode the coordinator records scatter/fold/merge/assemble
 // itself and propagates the trace ID to remote shards.
 func (s *server) executeCached(ctx context.Context, req core.Request) (*core.Result, bool, error) {
@@ -996,53 +861,39 @@ func (s *server) executeCached(ctx context.Context, req core.Request) (*core.Res
 		return res, hit, err
 	}
 	tr := obs.TraceFrom(ctx)
-	if s.agg != nil {
-		endKey := tr.StartStage("cache_lookup")
-		ckey, err := s.agg.CoverageKeyRequest(req)
-		endKey()
-		switch {
-		case err == nil:
-			return s.cachedGet(ctx, req.Key()+"|b="+ckey, "bucket_fold", ckey, func() (*core.Result, error) {
-				defer tr.StartStage("fold")()
-				return s.agg.Query(req)
-			})
-		case errors.Is(err, live.ErrNotCovered):
-			// Key the fallback on the ring's own revision, not the store
-			// generation: the computation reads the ring, and during an
-			// ingest the store becomes durable momentarily before the
-			// ring routes the batch — a generation key taken in that gap
-			// would cache ring-stale data under a store-fresh key.
-			rev := strconv.FormatUint(s.agg.Revision(), 16)
-			return s.cachedGet(ctx, req.Key()+"|rr="+rev, "ring_scan", "", func() (*core.Result, error) {
-				defer tr.StartStage("ring_scan")()
-				tweets, err := s.agg.WindowTweetsRequest(req)
-				if err != nil {
-					return nil, err
-				}
-				study := core.NewStudyWithOptions(
-					core.SliceSource(tweets),
-					core.StudyOptions{Workers: s.scanWorkers()},
-				)
-				return study.Execute(s.baseCtx, req)
-			})
-		default:
-			return nil, false, err
-		}
+	endKey := tr.StartStage("cache_lookup")
+	ckey, err := s.agg.CoverageKeyRequest(req)
+	endKey()
+	switch {
+	case err == nil:
+		return s.cachedGet(ctx, req.Key()+"|b="+ckey, "bucket_fold", ckey, func() (*core.Result, error) {
+			defer tr.StartStage("fold")()
+			return s.agg.Query(req)
+		})
+	case errors.Is(err, live.ErrNotCovered):
+		// Key the fallback on the ring's own revision, not the store
+		// generation: the computation reads the ring, and during an
+		// ingest the store becomes durable momentarily before the ring
+		// routes the batch — a generation key taken in that gap would
+		// cache ring-stale data under a store-fresh key.
+		rev := strconv.FormatUint(s.agg.Revision(), 16)
+		return s.cachedGet(ctx, req.Key()+"|rr="+rev, "ring_scan", "", func() (*core.Result, error) {
+			defer tr.StartStage("ring_scan")()
+			tweets, err := s.agg.WindowTweetsRequest(req)
+			if err != nil {
+				return nil, err
+			}
+			return core.NewStudy(core.SliceSource(tweets)).Execute(s.baseCtx, req)
+		})
+	default:
+		return nil, false, err
 	}
-	gen := strconv.FormatUint(s.store.Generation(), 16)
-	return s.cachedGet(ctx, req.Key()+"|g="+gen, "store_scan", "", func() (*core.Result, error) {
-		defer tr.StartStage("store_scan")()
-		study := core.NewStudyWithOptions(
-			core.StoreSource{Store: s.store},
-			core.StudyOptions{Workers: s.scanWorkers()},
-		)
-		return study.Execute(s.baseCtx, req)
-	})
 }
 
 // writeExecuteError maps an Execute failure onto a response: an empty
-// window is the caller's (absent) data, not a server fault; a cancelled
-// context can only be the server shutting down (computations are bound
+// window is the caller's (absent) data, not a server fault (404), and so
+// is a window whose flows leave a model's fit metrics undefined (422); a
+// cancelled context can only be the server shutting down (computations are bound
 // to the server lifetime, not to any request), which is a 503. A shape
 // the cluster's shard rings do not materialise (custom radii — the
 // single-node ring falls back to an exact in-memory pass, the cluster
@@ -1071,6 +922,9 @@ func writeExecuteError(w http.ResponseWriter, err error) {
 		writeJSONStatus(w, http.StatusServiceUnavailable, body)
 	case errors.Is(err, core.ErrEmptyDataset):
 		httpError(w, http.StatusNotFound, "no tweets in the requested window")
+	case errors.Is(err, models.ErrUndefinedFit):
+		httpError(w, http.StatusUnprocessableEntity,
+			"the flows in the requested window cannot support a model fit (try a longer window): %v", err)
 	case errors.Is(err, live.ErrNotCovered):
 		httpError(w, http.StatusNotImplemented,
 			"this request shape is not materialized by the cluster's shard rings (custom radii need a single-node deployment): %v", err)

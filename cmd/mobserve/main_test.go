@@ -1,19 +1,39 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"image/png"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
+	"geomob/internal/cluster"
+	"geomob/internal/core"
+	"geomob/internal/live"
+	"geomob/internal/models"
 	"geomob/internal/synth"
-	"geomob/internal/tweet"
 	"geomob/internal/tweetdb"
 )
 
-// newTestServer builds a server over a small compacted store.
+// bootServer builds the single-node server over store with hourly
+// buckets, failing the test on any boot error.
+func bootServer(t *testing.T, store *tweetdb.Store, snapDir string) *server {
+	t.Helper()
+	s, err := newServer(store, time.Hour, snapDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// newTestServer builds a server over a small store holding a generated
+// corpus, backfilled into the ring at boot.
 func newTestServer(t *testing.T) *server {
 	t.Helper()
 	store, err := tweetdb.Open(t.TempDir())
@@ -31,32 +51,7 @@ func newTestServer(t *testing.T) *server {
 	if err := store.Append(tweets); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	return newServer(store, 0)
-}
-
-func TestHandleStats(t *testing.T) {
-	s := newTestServer(t)
-	rec := httptest.NewRecorder()
-	s.handleStats(rec, httptest.NewRequest("GET", "/stats", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	var body map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if body["tweets"].(float64) <= 0 {
-		t.Errorf("tweets = %v", body["tweets"])
-	}
-	if body["segments"].(float64) <= 0 {
-		t.Errorf("segments = %v", body["segments"])
-	}
-	if body["workers"].(float64) < 1 {
-		t.Errorf("workers = %v, want >= 1", body["workers"])
-	}
+	return bootServer(t, store, "")
 }
 
 func TestHandleTweetsUserFilter(t *testing.T) {
@@ -138,38 +133,6 @@ func TestHandleDensityPNG(t *testing.T) {
 	}
 }
 
-func TestHandleFlows(t *testing.T) {
-	s := newTestServer(t)
-	for _, scale := range []string{"national", "state", "metropolitan", ""} {
-		rec := httptest.NewRecorder()
-		s.handleFlows(rec, httptest.NewRequest("GET", "/flows?scale="+scale, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("scale %q: status %d: %s", scale, rec.Code, rec.Body.String())
-		}
-		var body struct {
-			Scale  string      `json:"scale"`
-			Areas  []string    `json:"areas"`
-			Flows  [][]float64 `json:"flows"`
-			Total  float64     `json:"total"`
-			Radius float64     `json:"radius"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatal(err)
-		}
-		if len(body.Areas) != 20 || len(body.Flows) != 20 {
-			t.Errorf("scale %q: %d areas, %d flow rows", scale, len(body.Areas), len(body.Flows))
-		}
-		if body.Radius <= 0 {
-			t.Errorf("scale %q: radius %v", scale, body.Radius)
-		}
-	}
-	rec := httptest.NewRecorder()
-	s.handleFlows(rec, httptest.NewRequest("GET", "/flows?scale=galactic", nil))
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown scale: status %d", rec.Code)
-	}
-}
-
 // getJSON routes a request through the full mux and decodes the JSON body.
 func getJSON(t *testing.T, s *server, url string) (int, map[string]any) {
 	t.Helper()
@@ -198,30 +161,6 @@ func TestHandleHealthz(t *testing.T) {
 	}
 	if body["generation"] == "" {
 		t.Error("generation missing")
-	}
-}
-
-// TestHandleStatsEmptyStore covers the minTS == 0 epoch-sentinel fix: an
-// empty store must omit the collection period instead of reporting
-// 1970-01-01.
-func TestHandleStatsEmptyStore(t *testing.T) {
-	store, err := tweetdb.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(store, 0)
-	code, body := getJSON(t, s, "/stats")
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if _, ok := body["first"]; ok {
-		t.Errorf("empty store reported first = %v", body["first"])
-	}
-	if _, ok := body["last"]; ok {
-		t.Errorf("empty store reported last = %v", body["last"])
-	}
-	if body["tweets"].(float64) != 0 {
-		t.Errorf("tweets = %v, want 0", body["tweets"])
 	}
 }
 
@@ -331,11 +270,12 @@ func TestV1Models(t *testing.T) {
 	}
 }
 
-// TestV1FlowsSnapshotCache is the caching acceptance test: a repeated
-// request on an unchanged store is answered without a single store scan,
-// and appending to the store invalidates the snapshot.
+// TestV1FlowsSnapshotCache is the caching acceptance test: /v1 answers
+// never scan the store, a repeated request is served from the snapshot
+// cache, and an ingest into the request's window invalidates it.
 func TestV1FlowsSnapshotCache(t *testing.T) {
 	s := newTestServer(t)
+	scans := s.store.ScanCount()
 	code, first := getJSON(t, s, "/v1/flows?scale=state")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -346,10 +286,6 @@ func TestV1FlowsSnapshotCache(t *testing.T) {
 	if len(first["areas"].([]any)) == 0 {
 		t.Error("no areas in flow response")
 	}
-	scansAfterFirst := s.store.ScanCount()
-	if scansAfterFirst == 0 {
-		t.Fatal("first request did not scan the store")
-	}
 
 	code, second := getJSON(t, s, "/v1/flows?scale=state")
 	if code != http.StatusOK {
@@ -358,8 +294,8 @@ func TestV1FlowsSnapshotCache(t *testing.T) {
 	if second["cached"] != true {
 		t.Error("repeated request not served from the snapshot cache")
 	}
-	if got := s.store.ScanCount(); got != scansAfterFirst {
-		t.Errorf("repeated request scanned the store: %d scans, want %d", got, scansAfterFirst)
+	if got := s.store.ScanCount(); got != scans {
+		t.Errorf("/v1 requests scanned the store: %d scans, want %d", got, scans)
 	}
 	if !reflect.DeepEqual(first["flows"], second["flows"]) {
 		t.Error("cached flows differ from the computed ones")
@@ -370,13 +306,12 @@ func TestV1FlowsSnapshotCache(t *testing.T) {
 	if national["cached"] != false {
 		t.Error("different request served from an unrelated snapshot")
 	}
-	// ...and appending to the store moves the generation, invalidating
-	// every snapshot. The new user id sorts after all existing ones so
-	// the compacted global order survives the append.
-	if err := s.store.Append([]tweet.Tweet{
-		{ID: 1 << 40, UserID: 1 << 40, TS: 1380600000000, Lat: -33.87, Lon: 151.21},
-	}); err != nil {
-		t.Fatal(err)
+	// ...and a write landing inside the window invalidates it.
+	rec := httptest.NewRecorder()
+	body := strings.NewReader(`{"id":1099511627776,"user":1099511627776,"ts":1380600000000,"lat":-33.87,"lon":151.21}` + "\n")
+	s.routes().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/ingest", body))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body.String())
 	}
 	code, third := getJSON(t, s, "/v1/flows?scale=state")
 	if code != http.StatusOK {
@@ -429,6 +364,88 @@ func TestV1EmptyWindow(t *testing.T) {
 		s.routes().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
 		if rec.Code != http.StatusNotFound {
 			t.Errorf("%s: status %d, want 404", url, rec.Code)
+		}
+	}
+}
+
+// TestRouteTable pins the one mux builder's table across the modes: the
+// /v1 API, health, metrics and traces everywhere; the store readers on a
+// single node only; member federation on a coordinator only; the
+// snapshot trigger only where snapshots are on; and no legacy /flows or
+// /stats anywhere.
+func TestRouteTable(t *testing.T) {
+	empty := func() *tweetdb.Store {
+		store, err := tweetdb.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	single := bootServer(t, empty(), "")
+	snap := bootServer(t, empty(), t.TempDir())
+	coord, _, _ := newClusterTestServer(t, 2)
+	servers := []struct {
+		name string
+		s    *server
+	}{{"single", single}, {"single+snapshots", snap}, {"coordinator", coord}}
+
+	for _, rt := range []struct {
+		method, path string
+		on           [3]bool // single, single+snapshots, coordinator
+	}{
+		{"GET", "/healthz", [3]bool{true, true, true}},
+		{"GET", "/metrics", [3]bool{true, true, true}},
+		{"GET", "/v1/stats", [3]bool{true, true, true}},
+		{"GET", "/v1/population", [3]bool{true, true, true}},
+		{"GET", "/v1/models", [3]bool{true, true, true}},
+		{"GET", "/v1/flows", [3]bool{true, true, true}},
+		{"POST", "/v1/ingest", [3]bool{true, true, true}},
+		{"GET", "/debug/traces", [3]bool{true, true, true}},
+		{"GET", "/debug/traces/0123456789abcdef", [3]bool{true, true, true}},
+		{"GET", "/tweets", [3]bool{true, true, false}},
+		{"GET", "/density.png", [3]bool{true, true, false}},
+		{"GET", "/metrics/cluster", [3]bool{false, false, true}},
+		{"POST", "/v1/snapshot", [3]bool{false, true, false}},
+		{"GET", "/flows", [3]bool{false, false, false}},
+		{"GET", "/stats", [3]bool{false, false, false}},
+	} {
+		for i, sv := range servers {
+			mux := sv.s.routes()
+			req := httptest.NewRequest(rt.method, rt.path, nil)
+			if _, pattern := mux.Handler(req); (pattern != "") != rt.on[i] {
+				t.Errorf("%s: %s %s routed = %v, want %v", sv.name, rt.method, rt.path, pattern != "", rt.on[i])
+			}
+			if !rt.on[i] {
+				rec := httptest.NewRecorder()
+				mux.ServeHTTP(rec, req)
+				if rec.Code != http.StatusNotFound {
+					t.Errorf("%s: %s %s status %d, want 404", sv.name, rt.method, rt.path, rec.Code)
+				}
+			}
+		}
+	}
+}
+
+// TestWriteExecuteErrorStatus pins the status each execution failure
+// maps to, through the wrapping the layers above the failure add.
+func TestWriteExecuteErrorStatus(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"empty window", fmt.Errorf("core: stats: %w", core.ErrEmptyDataset), http.StatusNotFound},
+		{"undefined fit", fmt.Errorf("evaluate Gravity 2Param: %w",
+			fmt.Errorf("%w: log-scale pearson: constant input", models.ErrUndefinedFit)), http.StatusUnprocessableEntity},
+		{"unmaterialised shape", live.ErrNotCovered, http.StatusNotImplemented},
+		{"shutdown", fmt.Errorf("execute: %w", context.Canceled), http.StatusServiceUnavailable},
+		{"degraded", &cluster.UnavailableError{Slots: []int{3}}, http.StatusServiceUnavailable},
+		{"internal", errors.New("segment checksum mismatch"), http.StatusInternalServerError},
+	} {
+		rec := httptest.NewRecorder()
+		writeExecuteError(rec, tc.err)
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (body %q)", tc.name, rec.Code, tc.want, rec.Body.String())
 		}
 	}
 }

@@ -40,20 +40,28 @@ func (s *server) registerInstanceMetrics() {
 	}
 	r.GaugeFunc("geomob_store_tweets", "Durable records in this instance's store.",
 		func() float64 { return float64(s.store.Count()) })
+	r.GaugeFunc("geomob_store_segments", "Segments in this instance's store.",
+		func() float64 { return float64(len(s.store.Segments())) })
+	r.GaugeFunc("geomob_store_bytes", "Bytes held by this instance's store segments.",
+		func() float64 {
+			var n int64
+			for _, seg := range s.store.Segments() {
+				n += seg.Bytes
+			}
+			return float64(n)
+		})
 	r.GaugeFunc("geomob_store_scans", "Segment scans served by this instance's store.",
 		func() float64 { return float64(s.store.ScanCount()) })
 	r.GaugeFunc("geomob_cache_hits", "Snapshot-cache hits on this instance.",
 		func() float64 { h, _ := s.cache.Stats(); return float64(h) })
 	r.GaugeFunc("geomob_cache_misses", "Snapshot-cache misses on this instance.",
 		func() float64 { _, m := s.cache.Stats(); return float64(m) })
-	if s.agg != nil {
-		r.GaugeFunc("geomob_live_buckets", "Live buckets materialised in the ring.",
-			func() float64 { return float64(s.agg.Buckets()) })
-		r.GaugeFunc("geomob_live_ingested_rows", "Records routed into the bucket ring since boot.",
-			func() float64 { return float64(s.agg.Ingested()) })
-		r.GaugeFunc("geomob_live_builds", "Bucket partial materialisations performed.",
-			func() float64 { return float64(s.agg.Builds()) })
-	}
+	r.GaugeFunc("geomob_live_buckets", "Live buckets materialised in the ring.",
+		func() float64 { return float64(s.agg.Buckets()) })
+	r.GaugeFunc("geomob_live_ingested_rows", "Records routed into the bucket ring since boot.",
+		func() float64 { return float64(s.agg.Ingested()) })
+	r.GaugeFunc("geomob_live_builds", "Bucket partial materialisations performed.",
+		func() float64 { return float64(s.agg.Builds()) })
 	if s.snaps != nil {
 		r.GaugeFunc("geomob_snapshot_buckets", "Buckets present in the durable snapshot set.",
 			func() float64 { return float64(s.snaps.Stats().Buckets) })

@@ -276,6 +276,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if after["geomob_cache_hits"] < 1 {
 		t.Errorf("geomob_cache_hits = %g, want >= 1", after["geomob_cache_hits"])
 	}
+	// The store's segment catalogue is reported as gauges.
+	if after["geomob_store_segments"] < 1 || after["geomob_store_bytes"] <= 0 {
+		t.Errorf("store gauges segments=%g bytes=%g after an ingest, want > 0",
+			after["geomob_store_segments"], after["geomob_store_bytes"])
+	}
 	checkBucketsMonotone(t, after, "geomob_query_duration_seconds")
 	checkBucketsMonotone(t, after, "geomob_ingest_flush_seconds")
 
@@ -395,9 +400,8 @@ func TestDegraded503CarriesTraceID(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	s := newServer(nil, 0)
-	s.coord = coord
-	ts := httptest.NewServer(s.clusterRoutes())
+	s := newCoordServer(coord)
+	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 
 	ingestNDJSON(t, ts.URL, genTweets(t, 300, 15, 16))

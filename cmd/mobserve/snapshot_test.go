@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"geomob/internal/synth"
 	"geomob/internal/tweet"
@@ -50,13 +49,7 @@ func TestSnapshotDrainRestartZeroReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(store, 0)
-	if err := s.enableLiveSnap(time.Hour, snapDir); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.initIngest(); err != nil {
-		t.Fatal(err)
-	}
+	s := bootServer(t, store, snapDir)
 	ts := httptest.NewServer(s.routes())
 
 	gen, err := synth.NewGenerator(synth.DefaultConfig(800, 5, 6))
@@ -100,10 +93,7 @@ func TestSnapshotDrainRestartZeroReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := newServer(store2, 0)
-	if err := s2.enableLiveSnap(time.Hour, snapDir); err != nil {
-		t.Fatal(err)
-	}
+	s2 := bootServer(t, store2, snapDir)
 	rec := s2.recovery
 	if rec.FullRescan || rec.Restored == 0 || rec.Backfilled != 0 || rec.SnapErrors != 0 {
 		t.Fatalf("restart recovery degraded: %+v", rec)
@@ -113,9 +103,6 @@ func TestSnapshotDrainRestartZeroReplay(t *testing.T) {
 	}
 	if got := store2.ScanCount(); got != 0 {
 		t.Fatalf("restart scanned the store %d times, want 0", got)
-	}
-	if err := s2.initIngest(); err != nil {
-		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(s2.routes())
 	defer ts2.Close()

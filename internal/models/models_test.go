@@ -1,6 +1,7 @@
 package models
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -337,6 +338,54 @@ func TestAllReturnsPaperOrder(t *testing.T) {
 	for i, m := range ms {
 		if m.Name() != want[i] {
 			t.Errorf("model %d = %q, want %q", i, m.Name(), want[i])
+		}
+	}
+}
+
+// constModel predicts the same flow for every pair.
+type constModel struct{ v float64 }
+
+func (constModel) Name() string                             { return "constant" }
+func (constModel) Fit(*OD) error                            { return nil }
+func (m constModel) Predict(*OD, int, int) (float64, error) { return m.v, nil }
+
+// TestEvaluateUndefinedFit: flows that cannot support the log-scale
+// metrics — constant predictions, or too few positive pairs — are
+// reported as ErrUndefinedFit, not as an opaque failure.
+func TestEvaluateUndefinedFit(t *testing.T) {
+	rs, err := census.Australia().Regions(census.ScaleNational)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(rs.Areas)
+	pop := make([]float64, n)
+	dense := make([][]float64, n)
+	sparse := make([][]float64, n)
+	for i := range dense {
+		pop[i] = float64(10 * (i + 1))
+		dense[i] = make([]float64, n)
+		sparse[i] = make([]float64, n)
+		for j := range dense[i] {
+			if i != j {
+				dense[i][j] = float64(1 + (i*n+j)%7)
+			}
+		}
+	}
+	sparse[0][1], sparse[1][0] = 4, 2
+	for _, tc := range []struct {
+		name string
+		flow [][]float64
+		m    Model
+	}{
+		{"constant predictions", dense, constModel{v: 10}},
+		{"two positive pairs", sparse, constModel{v: 3}},
+	} {
+		od, err := BuildOD(rs.Areas, pop, tc.flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Evaluate(od, tc.m); !errors.Is(err, ErrUndefinedFit) {
+			t.Errorf("%s: Evaluate error = %v, want ErrUndefinedFit", tc.name, err)
 		}
 	}
 }

@@ -7,6 +7,7 @@
 package models
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -136,12 +137,21 @@ func CommonPartOfCommuters(pred, obs []float64) (float64, error) {
 	return 2 * common / total, nil
 }
 
+// ErrUndefinedFit reports that the observed flows cannot support a
+// model's evaluation metrics: fewer than 3 positive pairs or positive
+// predictions remain, or the log-scale predictions or observations are
+// constant, so the Pearson correlation is undefined. It is a property of
+// the data (typically a short or sparse window), not a failure of the
+// model code.
+var ErrUndefinedFit = errors.New("models: fit metrics undefined for these flows")
+
 // Evaluate scores a fitted model against the observed flows over the
-// positive pairs, on the log scale the paper's Fig. 4 uses.
+// positive pairs, on the log scale the paper's Fig. 4 uses. Flows that
+// cannot support the metrics yield an error wrapping ErrUndefinedFit.
 func Evaluate(od *OD, m Model) (*Metrics, error) {
 	is, js := od.positivePairs()
 	if len(is) < 3 {
-		return nil, fmt.Errorf("models: only %d positive pairs to evaluate", len(is))
+		return nil, fmt.Errorf("%w: only %d positive pairs to evaluate", ErrUndefinedFit, len(is))
 	}
 	pred := make([]float64, len(is))
 	obs := make([]float64, len(is))
@@ -158,11 +168,13 @@ func Evaluate(od *OD, m Model) (*Metrics, error) {
 		return nil, err
 	}
 	if len(lp) < 3 {
-		return nil, fmt.Errorf("models: only %d positive predictions to correlate", len(lp))
+		return nil, fmt.Errorf("%w: only %d positive predictions to correlate", ErrUndefinedFit, len(lp))
 	}
+	// lp and lo have equal length >= 3, so the only way Pearson fails is
+	// zero variance on one side.
 	r, err := stats.Pearson(lp, lo)
 	if err != nil {
-		return nil, fmt.Errorf("models: evaluate pearson: %w", err)
+		return nil, fmt.Errorf("%w: log-scale pearson: %v", ErrUndefinedFit, err)
 	}
 	hr, err := stats.HitRate(pred, obs, 0.5)
 	if err != nil {
